@@ -26,6 +26,7 @@
 //! [--max-retries R] [--device-mem BYTES]`. Any violated invariant exits
 //! nonzero.
 
+use bench::cli::Args;
 use gpu_kernels::force::OptLevel;
 use gpu_sim::transient::{FaultRates, LaunchFault, TransientFaultPlan};
 use gpu_sim::DriverModel;
@@ -36,11 +37,8 @@ use gravit_app::recovery::RecoveryPolicy;
 use gravit_app::sim::Simulation;
 use simcore::SplitMix64;
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+const USAGE: &str = "usage: chaos [--campaigns N] [--steps S] [--n BODIES] \
+                     [--seed SEED] [--max-retries R] [--device-mem BYTES]";
 
 struct Violations(usize);
 
@@ -99,23 +97,39 @@ fn attributed_faults(reports: &[FaultReport]) -> usize {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let campaigns: u64 = flag(&args, "--campaigns")
+    let args = Args::from_env_or_exit(
+        USAGE,
+        &[
+            "--campaigns",
+            "--steps",
+            "--n",
+            "--seed",
+            "--max-retries",
+            "--device-mem",
+        ],
+        &[],
+    );
+    let campaigns: u64 = args
+        .value("--campaigns")
         .and_then(|v| v.parse().ok())
         .unwrap_or(8);
-    let steps: u64 = flag(&args, "--steps")
+    let steps: u64 = args
+        .value("--steps")
         .and_then(|v| v.parse().ok())
         .unwrap_or(32);
-    let n: usize = flag(&args, "--n")
+    let n: usize = args
+        .value("--n")
         .and_then(|v| v.parse().ok())
         .unwrap_or(128);
-    let base_seed: u64 = flag(&args, "--seed")
+    let base_seed: u64 = args
+        .value("--seed")
         .and_then(|v| v.parse().ok())
         .unwrap_or(42);
-    let max_retries: u32 = flag(&args, "--max-retries")
+    let max_retries: u32 = args
+        .value("--max-retries")
         .and_then(|v| v.parse().ok())
         .unwrap_or(3);
-    let device_mem: Option<u64> = flag(&args, "--device-mem").map(|v| {
+    let device_mem: Option<u64> = args.value("--device-mem").map(|v| {
         v.parse().unwrap_or_else(|_| {
             eprintln!("--device-mem expects a byte count, got `{v}`");
             std::process::exit(2);

@@ -25,6 +25,7 @@
 //!         [--steps S] [--seed SEED] [--json PATH] [--check-against PATH]
 //!         [--skip-perf] [--skip-soak]`. Any violation exits nonzero.
 
+use bench::cli::Args;
 use gpu_kernels::force::OptLevel;
 use gpu_sim::transient::FaultRates;
 use gpu_sim::{DevicePool, DeviceSpec, DriverModel};
@@ -36,6 +37,10 @@ use gravit_app::sim::Simulation;
 use serde::{Deserialize, Serialize};
 use simcore::{SplitMix64, Table};
 
+const USAGE: &str = "usage: fleet [--devices D] [--jobs J] [--campaigns C] [--n N] \
+                     [--steps S] [--seed SEED] [--json PATH] [--check-against PATH] \
+                     [--skip-perf] [--skip-soak]";
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -45,12 +50,6 @@ fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
-}
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
 }
 
 struct Violations(usize);
@@ -362,27 +361,45 @@ fn perf_row(devices: usize, jobs: u64, n: usize, steps: u64, seed: u64) -> Fleet
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let devices: usize = flag(&args, "--devices")
+    let args = Args::from_env_or_exit(
+        USAGE,
+        &[
+            "--devices",
+            "--jobs",
+            "--campaigns",
+            "--n",
+            "--steps",
+            "--seed",
+            "--json",
+            "--check-against",
+        ],
+        &["--skip-perf", "--skip-soak"],
+    );
+    let devices: usize = args
+        .value("--devices")
         .and_then(|v| v.parse().ok())
         .unwrap_or(4);
-    let jobs: u64 = flag(&args, "--jobs")
+    let jobs: u64 = args
+        .value("--jobs")
         .and_then(|v| v.parse().ok())
         .unwrap_or(200);
-    let campaigns: u64 = flag(&args, "--campaigns")
+    let campaigns: u64 = args
+        .value("--campaigns")
         .and_then(|v| v.parse().ok())
         .unwrap_or(4);
-    let n: usize = flag(&args, "--n")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
-    let steps: u64 = flag(&args, "--steps")
+    let n: usize = args.value("--n").and_then(|v| v.parse().ok()).unwrap_or(64);
+    let steps: u64 = args
+        .value("--steps")
         .and_then(|v| v.parse().ok())
         .unwrap_or(6);
-    let base_seed: u64 = flag(&args, "--seed")
+    let base_seed: u64 = args
+        .value("--seed")
         .and_then(|v| v.parse().ok())
         .unwrap_or(42);
-    let json_path = flag(&args, "--json").unwrap_or_else(|| "BENCH_fleet.json".into());
-    let baseline: Option<FleetReport> = flag(&args, "--check-against").map(|p| {
+    let json_path = args
+        .value("--json")
+        .unwrap_or_else(|| "BENCH_fleet.json".into());
+    let baseline: Option<FleetReport> = args.value("--check-against").map(|p| {
         let text =
             std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("--check-against {p}: {e}"));
         serde_json::from_str(&text).unwrap_or_else(|e| panic!("--check-against {p}: {e}"))
@@ -390,7 +407,7 @@ fn main() {
     let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
 
     let mut violations = Violations(0);
-    if !args.iter().any(|a| a == "--skip-soak") {
+    if !args.switch("--skip-soak") {
         soak(
             devices,
             jobs,
@@ -402,7 +419,7 @@ fn main() {
         );
     }
 
-    if !args.iter().any(|a| a == "--skip-perf") {
+    if !args.switch("--skip-perf") {
         // Throughput sweep: a fixed quiet batch through pool sizes {1,2,4}.
         let perf_jobs = 24u64.min(jobs.max(1));
         let rows: Vec<FleetRow> = [1usize, 2, 4]

@@ -14,6 +14,7 @@
 //!
 //! Usage: `pressure [--n BODIES] [--reps R] [--out PATH]`.
 
+use bench::cli::Args;
 use std::time::Instant;
 
 use gpu_kernels::force::OptLevel;
@@ -23,6 +24,8 @@ use gravit_app::pressure::{chunk_floor, chunked_memory_budget, gpu_frame_chunked
 use nbody::model::ForceParams;
 use nbody::spawn;
 use serde::Serialize;
+
+const USAGE: &str = "usage: pressure [--n BODIES] [--reps R] [--out PATH]";
 
 #[derive(Serialize)]
 struct FullRow {
@@ -54,12 +57,6 @@ struct Report {
     all_bit_identical: bool,
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 /// Best-of-`reps` wall time of `f`, plus its (bitwise-comparable) result.
 fn time_best<T>(reps: u32, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
@@ -74,15 +71,19 @@ fn time_best<T>(reps: u32, mut f: impl FnMut() -> T) -> (f64, T) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let n: u32 = flag(&args, "--n")
+    let args = Args::from_env_or_exit(USAGE, &["--n", "--reps", "--out"], &[]);
+    let n: u32 = args
+        .value("--n")
         .and_then(|v| v.parse().ok())
         .unwrap_or(960);
-    let reps: u32 = flag(&args, "--reps")
+    let reps: u32 = args
+        .value("--reps")
         .and_then(|v| v.parse().ok())
         .unwrap_or(3)
         .max(1);
-    let out_path = flag(&args, "--out").unwrap_or_else(|| "BENCH_pressure.json".into());
+    let out_path = args
+        .value("--out")
+        .unwrap_or_else(|| "BENCH_pressure.json".into());
 
     let level = OptLevel::Full;
     let block = chunk_floor(level);

@@ -28,6 +28,7 @@
 //! Usage: `simperf [--threads 1,8] [--reps N] [--json PATH]
 //!         [--check-against PATH]`.
 
+use bench::cli::Args;
 use gpu_kernels::force::{build_force_kernel, force_params, OptLevel};
 use gpu_kernels::membench::{build_membench_kernel, MembenchConfig};
 use gpu_sim::exec::functional::run_lowered_full;
@@ -41,6 +42,9 @@ use particle_layouts::device::alloc_accel_out;
 use particle_layouts::{DeviceImage, Layout, Particle};
 use serde::{Deserialize, Serialize};
 use simcore::Table;
+
+const USAGE: &str =
+    "usage: simperf [--threads 1,8] [--reps N] [--json PATH] [--check-against PATH]";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -209,25 +213,27 @@ fn regressed(baseline_ms: f64, new_ms: f64) -> bool {
     new_ms > 1.2 * baseline_ms + 50.0
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let threads: Vec<usize> = flag(&args, "--threads")
+    let args = Args::from_env_or_exit(
+        USAGE,
+        &["--threads", "--reps", "--json", "--check-against"],
+        &[],
+    );
+    let threads: Vec<usize> = args
+        .value("--threads")
         .unwrap_or_else(|| "1,8".into())
         .split(',')
         .map(|t| t.trim().parse().expect("--threads takes e.g. 1,8"))
         .collect();
-    let reps: usize = flag(&args, "--reps")
+    let reps: usize = args
+        .value("--reps")
         .and_then(|v| v.parse().ok())
         .unwrap_or(3)
         .max(1);
-    let json_path = flag(&args, "--json").unwrap_or_else(|| "BENCH_sim.json".into());
-    let baseline: Option<SimReport> = flag(&args, "--check-against").map(|p| {
+    let json_path = args
+        .value("--json")
+        .unwrap_or_else(|| "BENCH_sim.json".into());
+    let baseline: Option<SimReport> = args.value("--check-against").map(|p| {
         let text =
             std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("--check-against {p}: {e}"));
         serde_json::from_str(&text).unwrap_or_else(|e| panic!("--check-against {p}: {e}"))

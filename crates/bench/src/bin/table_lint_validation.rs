@@ -16,12 +16,16 @@
 //!
 //! Usage: `table_lint_validation [--bh-n BODIES] [--json PATH]
 //!         [--check-against PATH]`.
+use bench::cli::Args;
 use bench::report::emit;
 use bench::tables::{bh_bounds_validation, lint_cross_validation};
 use gpu_kernels::synthset::synth_targets;
 use gpu_sim::DriverModel;
 use serde::{Deserialize, Serialize};
 use simcore::Table;
+
+const USAGE: &str =
+    "usage: table_lint_validation [--bh-n BODIES] [--json PATH] [--check-against PATH]";
 
 #[derive(Serialize, Deserialize)]
 struct AnalyzeTime {
@@ -68,20 +72,17 @@ fn check_against(baseline: &AnalyzeReport, times: &[AnalyzeTime]) -> usize {
     regressions
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let bh_n: u32 = flag(&args, "--bh-n")
+    let args = Args::from_env_or_exit(USAGE, &["--bh-n", "--json", "--check-against"], &[]);
+    let bh_n: u32 = args
+        .value("--bh-n")
         .and_then(|v| v.parse().ok())
         .unwrap_or(192);
-    let json_path = flag(&args, "--json").unwrap_or_else(|| "BENCH_analyze.json".into());
+    let json_path = args
+        .value("--json")
+        .unwrap_or_else(|| "BENCH_analyze.json".into());
     // Load the committed baseline (if requested) before it is overwritten.
-    let baseline: Option<AnalyzeReport> = flag(&args, "--check-against").map(|p| {
+    let baseline: Option<AnalyzeReport> = args.value("--check-against").map(|p| {
         let text =
             std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("--check-against {p}: {e}"));
         serde_json::from_str(&text).unwrap_or_else(|e| panic!("--check-against {p}: {e}"))

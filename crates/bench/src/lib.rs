@@ -11,6 +11,7 @@
 //! * [`tables`] — the unroll sweep (Sec. IV-A), the occupancy ladder, the
 //!   per-half-warp transaction counts (Figs. 3/5/7/9) and the
 //!   access-frequency grouping ablation;
+//! * [`cli`] — the one flag parser every bench binary shares;
 //! * [`report`] — writing results as markdown (stdout) + CSV
 //!   (`results/*.csv`).
 //!
@@ -19,6 +20,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod gravit_harness;
 pub mod membench_harness;
 pub mod report;

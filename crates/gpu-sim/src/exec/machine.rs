@@ -3,7 +3,22 @@
 //! One warp-step function ([`exec_instr`]) implements the meaning of every
 //! instruction for all 32 lanes of a warp under an active mask. Both the
 //! functional and the timed executor call it, so values, addresses and
-//! side effects are identical in both modes by construction.
+//! side effects are identical in both modes by construction: one decoder,
+//! two schedulers.
+//!
+//! A warp executes as lane slices (DESIGN.md §17):
+//!
+//! * the register file is reg-major per warp, so one register of one warp
+//!   is a contiguous `[u32; 32]`, and a predicate of one warp is a single
+//!   `u32` lane bitmask;
+//! * an ALU-class instruction resolves each operand once into a lane slice
+//!   (a register slice or a splatted immediate), chooses its operation
+//!   outside the lane loop, computes all 32 lanes branch-free, and blends
+//!   the result into the destination under the active mask;
+//! * a memory instruction visits its active lanes in ascending order with
+//!   every sanitizer check of the per-word path; an aligned, in-bounds
+//!   shared-memory access is checked once per lane instead of once per
+//!   word.
 
 use crate::coalesce::AccessWidth;
 use crate::fault::{DeviceError, DeviceResult, FaultKind, FaultPlan};
@@ -13,6 +28,9 @@ use crate::mem::DeviceMem;
 
 /// Warp width — fixed at 32 for every CUDA device.
 pub const WARP: usize = 32;
+
+/// One 32-bit value per lane of a warp.
+type Lanes = [u32; WARP];
 
 /// Launch-wide environment visible to special registers.
 #[derive(Debug, Clone, Copy)]
@@ -30,12 +48,16 @@ pub struct BlockCtx {
     pub block_id: u32,
     /// Threads in this block.
     pub n_threads: usize,
-    n_regs: usize,
-    n_preds: usize,
-    /// Register file: `regs[thread * n_regs + reg]`, raw 32-bit values.
+    /// Warps in this block: `n_threads` rounded up to whole warps.
+    n_warps: usize,
+    /// Register file, reg-major per warp: lane `l` of register `r` in warp
+    /// `w` is `regs[(r * n_warps + w) * WARP + l]`, so one register of one
+    /// warp is a contiguous lane slice. Raw 32-bit values. The lanes of a
+    /// partial last warp past `n_threads` exist but never execute.
     regs: Vec<u32>,
-    /// Predicate file.
-    preds: Vec<bool>,
+    /// Predicate file: `preds[p * n_warps + w]` is predicate `p` of warp
+    /// `w` as a lane bitmask (bit `l` = lane `l`).
+    preds: Vec<u32>,
     /// Shared memory bytes.
     pub smem: Vec<u8>,
 }
@@ -61,44 +83,87 @@ impl BlockCtx {
             .with_kernel(&prog.name)
             .with_block(block_id));
         }
-        let n_regs = prog.n_regs as usize;
-        let n_preds = prog.n_preds as usize;
-        let mut regs = vec![0u32; n_threads * n_regs];
-        for t in 0..n_threads {
-            regs[t * n_regs..t * n_regs + params.len()].copy_from_slice(params);
+        let n_warps = n_threads.div_ceil(WARP);
+        let reg_lanes = n_warps * WARP;
+        let mut regs = vec![0u32; prog.n_regs as usize * reg_lanes];
+        for (r, &p) in params.iter().enumerate() {
+            regs[r * reg_lanes..(r + 1) * reg_lanes].fill(p);
         }
         Ok(BlockCtx {
             block_id,
             n_threads,
-            n_regs,
-            n_preds,
+            n_warps,
             regs,
-            preds: vec![false; n_threads * n_preds.max(1)],
+            preds: vec![0u32; prog.n_preds as usize * n_warps],
             smem: vec![0u8; prog.smem_bytes as usize],
         })
+    }
+
+    /// Index of lane 0 of register `r` of `warp` in the register file.
+    #[inline]
+    fn slot(&self, warp: usize, r: Reg) -> usize {
+        (r.0 as usize * self.n_warps + warp) * WARP
+    }
+
+    #[inline]
+    fn lanes(&self, warp: usize, r: Reg) -> &Lanes {
+        let s = self.slot(warp, r);
+        self.regs[s..s + WARP]
+            .try_into()
+            .expect("one warp of lanes")
+    }
+
+    #[inline]
+    fn lanes_mut(&mut self, warp: usize, r: Reg) -> &mut Lanes {
+        let s = self.slot(warp, r);
+        (&mut self.regs[s..s + WARP])
+            .try_into()
+            .expect("one warp of lanes")
     }
 
     /// Read a register of a thread.
     #[inline]
     pub fn reg(&self, t: usize, r: Reg) -> u32 {
-        self.regs[t * self.n_regs + r.0 as usize]
+        self.lanes(t / WARP, r)[t % WARP]
     }
 
     /// Write a register of a thread.
     #[inline]
     pub fn set_reg(&mut self, t: usize, r: Reg, v: u32) {
-        self.regs[t * self.n_regs + r.0 as usize] = v;
+        self.lanes_mut(t / WARP, r)[t % WARP] = v;
     }
 
     /// Read a predicate of a thread.
     #[inline]
     pub fn pred(&self, t: usize, p: Pred) -> bool {
-        self.preds[t * self.n_preds.max(1) + p.0 as usize]
+        self.preds[p.0 as usize * self.n_warps + t / WARP] & (1 << (t % WARP)) != 0
     }
 
+    /// An operand's value in every lane of `warp`: a copy of the register's
+    /// lane slice, or the immediate splatted across the warp.
     #[inline]
-    fn set_pred(&mut self, t: usize, p: Pred, v: bool) {
-        self.preds[t * self.n_preds.max(1) + p.0 as usize] = v;
+    fn operand(&self, warp: usize, o: &Operand) -> Lanes {
+        match o {
+            Operand::R(r) => *self.lanes(warp, *r),
+            Operand::ImmU(v) => [*v; WARP],
+            Operand::ImmF(f) => [f.to_bits(); WARP],
+        }
+    }
+
+    /// Write `v` to register `r` of `warp` in the lanes of `mask`: a plain
+    /// store when every lane is active, a branch-free blend otherwise.
+    #[inline]
+    fn write(&mut self, warp: usize, r: Reg, mask: u32, v: &Lanes) {
+        let dst = self.lanes_mut(warp, r);
+        if mask == u32::MAX {
+            *dst = *v;
+            return;
+        }
+        for (l, (d, x)) in dst.iter_mut().zip(v).enumerate() {
+            // All ones for an inactive lane, zero for an active one.
+            let keep = ((mask >> l) & 1).wrapping_sub(1);
+            *d = (x & !keep) | (*d & keep);
+        }
     }
 
     /// Validate a shared-memory word access. Shared memory is zero-initialized
@@ -124,19 +189,26 @@ impl BlockCtx {
         Ok(())
     }
 
-    fn smem_load_u32(&self, addr: u64) -> DeviceResult<u32> {
-        self.smem_check(addr)?;
-        let a = addr as usize;
-        Ok(u32::from_le_bytes(
-            self.smem[a..a + 4].try_into().expect("4-byte slice"),
-        ))
+    /// Whether every word of an `n_words`-word shared access at `addr`
+    /// passes [`BlockCtx::smem_check`]: word-aligned and wholly in bounds.
+    #[inline]
+    fn smem_fits(&self, addr: u64, n_words: usize) -> bool {
+        addr.is_multiple_of(4)
+            && addr
+                .checked_add(4 * n_words as u64)
+                .is_some_and(|end| end <= self.smem.len() as u64)
     }
 
-    fn smem_store_u32(&mut self, addr: u64, v: u32) -> DeviceResult<()> {
-        self.smem_check(addr)?;
+    #[inline]
+    fn smem_word(&self, addr: u64) -> u32 {
+        let a = addr as usize;
+        u32::from_le_bytes(self.smem[a..a + 4].try_into().expect("4-byte slice"))
+    }
+
+    #[inline]
+    fn smem_set_word(&mut self, addr: u64, v: u32) {
         let a = addr as usize;
         self.smem[a..a + 4].copy_from_slice(&v.to_le_bytes());
-        Ok(())
     }
 }
 
@@ -154,26 +226,87 @@ pub struct MemTrace {
     pub addrs: Vec<Option<u64>>,
 }
 
-/// The block-local thread indices selected by an active-lane mask — the
-/// zero-allocation replacement for collecting lanes into a `Vec` on every
-/// executed instruction (the functional hot loop's biggest malloc source).
+/// The lanes set in `mask`, in ascending order.
 #[inline]
-fn active_lanes(mask: u32, warp: usize, n_threads: usize) -> impl Iterator<Item = usize> {
-    (0..WARP)
-        .filter(move |l| mask & (1 << l) != 0)
-        .map(move |l| warp * WARP + l)
-        .filter(move |t| *t < n_threads)
+fn set_lanes(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let l = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            l
+        })
+    })
+}
+
+#[inline(always)]
+fn map1(x: &Lanes, f: impl Fn(u32) -> u32) -> Lanes {
+    std::array::from_fn(|l| f(x[l]))
+}
+
+#[inline(always)]
+fn map2(x: &Lanes, y: &Lanes, f: impl Fn(u32, u32) -> u32) -> Lanes {
+    std::array::from_fn(|l| f(x[l], y[l]))
+}
+
+#[inline(always)]
+fn fmap2(x: &Lanes, y: &Lanes, f: impl Fn(f32, f32) -> f32) -> Lanes {
+    map2(x, y, |a, b| {
+        f(f32::from_bits(a), f32::from_bits(b)).to_bits()
+    })
+}
+
+/// The lane bitmask of `f` over every lane (inactive lanes included; the
+/// caller masks).
+#[inline(always)]
+fn lane_bits(x: &Lanes, y: &Lanes, f: impl Fn(u32, u32) -> bool) -> u32 {
+    (0..WARP).fold(0, |m, l| m | (f(x[l], y[l]) as u32) << l)
+}
+
+fn alu_lanes(op: AluOp, x: &Lanes, y: &Lanes) -> Lanes {
+    match op {
+        AluOp::FAdd => fmap2(x, y, |a, b| a + b),
+        AluOp::FSub => fmap2(x, y, |a, b| a - b),
+        AluOp::FMul => fmap2(x, y, |a, b| a * b),
+        AluOp::FMin => fmap2(x, y, f32::min),
+        AluOp::FMax => fmap2(x, y, f32::max),
+        AluOp::IAdd => map2(x, y, u32::wrapping_add),
+        AluOp::ISub => map2(x, y, u32::wrapping_sub),
+        AluOp::IMul => map2(x, y, u32::wrapping_mul),
+        AluOp::IShl => map2(x, y, u32::wrapping_shl),
+        AluOp::IAnd => map2(x, y, |a, b| a & b),
+        AluOp::IMin => map2(x, y, u32::min),
+    }
+}
+
+fn unary_lanes(op: UnaryOp, x: &Lanes) -> Lanes {
+    match op {
+        UnaryOp::FRsqrt => map1(x, |a| (1.0 / f32::from_bits(a).sqrt()).to_bits()),
+        UnaryOp::FNeg => map1(x, |a| (-f32::from_bits(a)).to_bits()),
+        UnaryOp::U2F => map1(x, |a| (a as f32).to_bits()),
+        UnaryOp::F2U => map1(x, |a| f32::from_bits(a) as u32),
+    }
+}
+
+fn cmp_bits(cmp: CmpOp, x: &Lanes, y: &Lanes) -> u32 {
+    match cmp {
+        CmpOp::ULt => lane_bits(x, y, |a, b| a < b),
+        CmpOp::UGe => lane_bits(x, y, |a, b| a >= b),
+        CmpOp::UEq => lane_bits(x, y, |a, b| a == b),
+        CmpOp::UNe => lane_bits(x, y, |a, b| a != b),
+        CmpOp::FLt => lane_bits(x, y, |a, b| f32::from_bits(a) < f32::from_bits(b)),
+    }
 }
 
 /// Execute one instruction for a warp.
 ///
-/// `warp` is the warp index within the block, `mask` the active-lane mask,
-/// `clock_value` what a `Clock` instruction should read. With `want_trace`
-/// set, returns the memory trace if the instruction touched memory (the
-/// timed engine feeds it to the coalescer/bank models); the functional
-/// executor passes `false` and skips the per-lane address bookkeeping
-/// entirely. A memory fault carries the exact (block, thread, instruction)
-/// coordinates of the offending lane.
+/// `warp` is the warp index within the block, `mask` the active-lane mask
+/// (lanes past the end of the block never execute), `clock_value` what a
+/// `Clock` instruction should read. With `want_trace` set, returns the
+/// memory trace if the instruction touched memory (the timed engine feeds
+/// it to the coalescer/bank models); the functional executor passes `false`
+/// and skips the per-lane address bookkeeping entirely. A memory fault
+/// carries the exact (block, thread, instruction) coordinates of the
+/// offending lane, and the lanes before it keep their side effects.
 ///
 /// Generic over [`DeviceMem`] so the same semantics run against the real
 /// [`crate::mem::GlobalMemory`] (sequential path) and against per-block
@@ -194,152 +327,75 @@ pub fn exec_instr<M: DeviceMem>(
     plan: Option<&FaultPlan>,
     want_trace: bool,
 ) -> DeviceResult<Option<MemTrace>> {
-    let opv = |ctx: &BlockCtx, t: usize, o: &Operand| -> u32 {
-        match o {
-            Operand::R(r) => ctx.reg(t, *r),
-            Operand::ImmU(v) => *v,
-            Operand::ImmF(f) => f.to_bits(),
-        }
-    };
-    match i {
-        Instr::Mov { dst, src } => {
-            for t in active_lanes(mask, warp, ctx.n_threads) {
-                let v = opv(ctx, t, src);
-                ctx.set_reg(t, *dst, v);
-            }
-            Ok(None)
-        }
-        Instr::Special { dst, sr } => {
-            for t in active_lanes(mask, warp, ctx.n_threads) {
-                let v = match sr {
-                    SpecialReg::TidX => t as u32,
-                    SpecialReg::CtaidX => ctx.block_id,
-                    SpecialReg::NtidX => env.block_dim,
-                    SpecialReg::NctaidX => env.grid_dim,
-                };
-                ctx.set_reg(t, *dst, v);
-            }
-            Ok(None)
-        }
-        Instr::Alu { op, dst, a, b } => {
-            for t in active_lanes(mask, warp, ctx.n_threads) {
-                let x = opv(ctx, t, a);
-                let y = opv(ctx, t, b);
-                let v = alu(*op, x, y);
-                ctx.set_reg(t, *dst, v);
-            }
-            Ok(None)
-        }
-        Instr::Mad {
-            float,
-            dst,
-            a,
-            b,
-            c,
-        } => {
-            for t in active_lanes(mask, warp, ctx.n_threads) {
-                let x = opv(ctx, t, a);
-                let y = opv(ctx, t, b);
-                let z = opv(ctx, t, c);
-                let v = if *float {
-                    // G80 MAD truncates the intermediate product; modern fma
-                    // differs in the last ulp. We use mul+add like the CPU
-                    // reference so functional comparisons are exact.
-                    (f32::from_bits(x) * f32::from_bits(y) + f32::from_bits(z)).to_bits()
-                } else {
-                    x.wrapping_mul(y).wrapping_add(z)
-                };
-                ctx.set_reg(t, *dst, v);
-            }
-            Ok(None)
-        }
-        Instr::Unary { op, dst, a } => {
-            for t in active_lanes(mask, warp, ctx.n_threads) {
-                let x = opv(ctx, t, a);
-                let v = match op {
-                    UnaryOp::FRsqrt => {
-                        let f = f32::from_bits(x);
-                        (1.0 / f.sqrt()).to_bits()
-                    }
-                    UnaryOp::FNeg => (-f32::from_bits(x)).to_bits(),
-                    UnaryOp::U2F => (x as f32).to_bits(),
-                    UnaryOp::F2U => f32::from_bits(x) as u32,
-                };
-                ctx.set_reg(t, *dst, v);
-            }
-            Ok(None)
-        }
-        Instr::Setp { dst, cmp, a, b } => {
-            for t in active_lanes(mask, warp, ctx.n_threads) {
-                let x = opv(ctx, t, a);
-                let y = opv(ctx, t, b);
-                let v = match cmp {
-                    CmpOp::ULt => x < y,
-                    CmpOp::UGe => x >= y,
-                    CmpOp::UEq => x == y,
-                    CmpOp::UNe => x != y,
-                    CmpOp::FLt => f32::from_bits(x) < f32::from_bits(y),
-                };
-                ctx.set_pred(t, *dst, v);
-            }
-            Ok(None)
-        }
+    let mask = mask & live_lane_mask(ctx.n_threads, warp);
+    let (dst, v) = match i {
         Instr::Ld {
             dsts,
             space,
             base,
             offset,
         } => {
-            let width = AccessWidth::from_bytes(4 * dsts.len() as u32).expect("load width");
-            let n_words = dsts.len() as u64;
+            let n_words = dsts.len();
+            let width = AccessWidth::from_bytes(4 * n_words as u32).expect("load width");
             let mut addrs = if want_trace {
                 vec![None; WARP]
             } else {
                 Vec::new()
             };
             let bid = ctx.block_id;
-            for t in active_lanes(mask, warp, ctx.n_threads) {
-                let mut addr = ctx.reg(t, *base).wrapping_add(*offset) as u64;
+            let base = ctx.slot(warp, *base);
+            for l in set_lanes(mask) {
+                let t = warp * WARP + l;
+                let mut addr = ctx.regs[base + l].wrapping_add(*offset) as u64;
                 if let Some(p) = plan {
                     addr = p.mutate(bid, t as u32, clock_value, addr);
                 }
                 if want_trace {
-                    addrs[t % WARP] = Some(addr);
+                    addrs[l] = Some(addr);
                 }
-                // A vector access must be naturally aligned as a whole; the
-                // per-word loop below would only catch word misalignment.
                 let fault_at = move |e: DeviceError| {
                     e.with_block(bid)
                         .with_thread(t as u32)
                         .with_instruction(clock_value)
                 };
+                // Fast path: a whole shared access that passes every word
+                // check is checked once.
+                if *space == MemSpace::Shared && ctx.smem_fits(addr, n_words) {
+                    for (w, d) in dsts.iter().enumerate() {
+                        let v = ctx.smem_word(addr + 4 * w as u64);
+                        let s = ctx.slot(warp, *d);
+                        ctx.regs[s + l] = v;
+                    }
+                    continue;
+                }
+                // A vector access must be naturally aligned as a whole; the
+                // per-word loop below would only catch word misalignment.
                 if matches!(space, MemSpace::Global | MemSpace::Texture)
-                    && !addr.is_multiple_of(4 * n_words)
+                    && !addr.is_multiple_of(4 * n_words as u64)
                 {
                     return Err(fault_at(DeviceError::new(FaultKind::Misaligned {
                         space: *space,
                         addr,
-                        width: 4 * n_words,
+                        width: 4 * n_words as u64,
                     })));
                 }
                 for (w, d) in dsts.iter().enumerate() {
+                    let a = addr + 4 * w as u64;
                     let v = match space {
-                        MemSpace::Global | MemSpace::Texture => {
-                            gmem.load_u32(addr + 4 * w as u64).map_err(fault_at)?
-                        }
-                        MemSpace::Shared => {
-                            ctx.smem_load_u32(addr + 4 * w as u64).map_err(fault_at)?
-                        }
-                    };
-                    ctx.set_reg(t, *d, v);
+                        MemSpace::Global | MemSpace::Texture => gmem.load_u32(a),
+                        MemSpace::Shared => ctx.smem_check(a).map(|()| ctx.smem_word(a)),
+                    }
+                    .map_err(fault_at)?;
+                    let s = ctx.slot(warp, *d);
+                    ctx.regs[s + l] = v;
                 }
             }
-            Ok(want_trace.then_some(MemTrace {
+            return Ok(want_trace.then_some(MemTrace {
                 space: *space,
                 is_load: true,
                 width,
                 addrs,
-            }))
+            }));
         }
         Instr::St {
             srcs,
@@ -347,83 +403,119 @@ pub fn exec_instr<M: DeviceMem>(
             base,
             offset,
         } => {
-            let width = AccessWidth::from_bytes(4 * srcs.len() as u32).expect("store width");
-            let n_words = srcs.len() as u64;
+            let n_words = srcs.len();
+            let width = AccessWidth::from_bytes(4 * n_words as u32).expect("store width");
             let mut addrs = if want_trace {
                 vec![None; WARP]
             } else {
                 Vec::new()
             };
+            // Stores write no register, so every source resolves up front.
+            let mut vals = [[0u32; WARP]; 4];
+            if mask != 0 {
+                for (v, s) in vals.iter_mut().zip(srcs) {
+                    *v = ctx.operand(warp, s);
+                }
+            }
             let bid = ctx.block_id;
-            for t in active_lanes(mask, warp, ctx.n_threads) {
-                let mut addr = ctx.reg(t, *base).wrapping_add(*offset) as u64;
+            let base = ctx.slot(warp, *base);
+            for l in set_lanes(mask) {
+                let t = warp * WARP + l;
+                let mut addr = ctx.regs[base + l].wrapping_add(*offset) as u64;
                 if let Some(p) = plan {
                     addr = p.mutate(bid, t as u32, clock_value, addr);
                 }
                 if want_trace {
-                    addrs[t % WARP] = Some(addr);
+                    addrs[l] = Some(addr);
                 }
                 let fault_at = move |e: DeviceError| {
                     e.with_block(bid)
                         .with_thread(t as u32)
                         .with_instruction(clock_value)
                 };
-                if *space == MemSpace::Global && !addr.is_multiple_of(4 * n_words) {
+                if *space == MemSpace::Shared && ctx.smem_fits(addr, n_words) {
+                    for (w, v) in vals[..n_words].iter().enumerate() {
+                        ctx.smem_set_word(addr + 4 * w as u64, v[l]);
+                    }
+                    continue;
+                }
+                if *space == MemSpace::Global && !addr.is_multiple_of(4 * n_words as u64) {
                     return Err(fault_at(DeviceError::new(FaultKind::Misaligned {
                         space: *space,
                         addr,
-                        width: 4 * n_words,
+                        width: 4 * n_words as u64,
                     })));
                 }
-                for (w, s) in srcs.iter().enumerate() {
-                    let v = opv(ctx, t, s);
+                for (w, v) in vals[..n_words].iter().enumerate() {
+                    let a = addr + 4 * w as u64;
                     match space {
-                        MemSpace::Global => {
-                            gmem.store_u32(addr + 4 * w as u64, v).map_err(fault_at)?
-                        }
-                        MemSpace::Shared => ctx
-                            .smem_store_u32(addr + 4 * w as u64, v)
-                            .map_err(fault_at)?,
-                        MemSpace::Texture => {
-                            return Err(fault_at(DeviceError::new(FaultKind::ReadOnlyWrite {
-                                space: MemSpace::Texture,
-                                addr,
-                            })));
-                        }
+                        MemSpace::Global => gmem.store_u32(a, v[l]),
+                        MemSpace::Shared => ctx.smem_check(a).map(|()| ctx.smem_set_word(a, v[l])),
+                        MemSpace::Texture => Err(DeviceError::new(FaultKind::ReadOnlyWrite {
+                            space: MemSpace::Texture,
+                            addr,
+                        })),
                     }
+                    .map_err(fault_at)?;
                 }
             }
-            Ok(want_trace.then_some(MemTrace {
+            return Ok(want_trace.then_some(MemTrace {
                 space: *space,
                 is_load: false,
                 width,
                 addrs,
-            }))
+            }));
         }
-        Instr::Clock { dst } => {
-            for t in active_lanes(mask, warp, ctx.n_threads) {
-                ctx.set_reg(t, *dst, clock_value as u32);
-            }
-            Ok(None)
+        _ if mask == 0 => return Ok(None),
+        Instr::Setp { dst, cmp, a, b } => {
+            let bits = cmp_bits(*cmp, &ctx.operand(warp, a), &ctx.operand(warp, b));
+            let p = &mut ctx.preds[dst.0 as usize * ctx.n_warps + warp];
+            *p = (*p & !mask) | (bits & mask);
+            return Ok(None);
         }
-    }
-}
-
-fn alu(op: AluOp, x: u32, y: u32) -> u32 {
-    let (fx, fy) = (f32::from_bits(x), f32::from_bits(y));
-    match op {
-        AluOp::FAdd => (fx + fy).to_bits(),
-        AluOp::FSub => (fx - fy).to_bits(),
-        AluOp::FMul => (fx * fy).to_bits(),
-        AluOp::FMin => fx.min(fy).to_bits(),
-        AluOp::FMax => fx.max(fy).to_bits(),
-        AluOp::IAdd => x.wrapping_add(y),
-        AluOp::ISub => x.wrapping_sub(y),
-        AluOp::IMul => x.wrapping_mul(y),
-        AluOp::IShl => x.wrapping_shl(y),
-        AluOp::IAnd => x & y,
-        AluOp::IMin => x.min(y),
-    }
+        Instr::Mov { dst, src } => (dst, ctx.operand(warp, src)),
+        Instr::Special { dst, sr } => {
+            let v = match sr {
+                SpecialReg::TidX => std::array::from_fn(|l| (warp * WARP + l) as u32),
+                SpecialReg::CtaidX => [ctx.block_id; WARP],
+                SpecialReg::NtidX => [env.block_dim; WARP],
+                SpecialReg::NctaidX => [env.grid_dim; WARP],
+            };
+            (dst, v)
+        }
+        Instr::Alu { op, dst, a, b } => (
+            dst,
+            alu_lanes(*op, &ctx.operand(warp, a), &ctx.operand(warp, b)),
+        ),
+        Instr::Mad {
+            float,
+            dst,
+            a,
+            b,
+            c,
+        } => {
+            let (x, y, z) = (
+                ctx.operand(warp, a),
+                ctx.operand(warp, b),
+                ctx.operand(warp, c),
+            );
+            let v = if *float {
+                // G80 MAD truncates the intermediate product; modern fma
+                // differs in the last ulp. We use mul+add like the CPU
+                // reference so functional comparisons are exact.
+                std::array::from_fn(|l| {
+                    (f32::from_bits(x[l]) * f32::from_bits(y[l]) + f32::from_bits(z[l])).to_bits()
+                })
+            } else {
+                std::array::from_fn(|l| x[l].wrapping_mul(y[l]).wrapping_add(z[l]))
+            };
+            (dst, v)
+        }
+        Instr::Unary { op, dst, a } => (dst, unary_lanes(*op, &ctx.operand(warp, a))),
+        Instr::Clock { dst } => (dst, [clock_value as u32; WARP]),
+    };
+    ctx.write(warp, *dst, mask, &v);
+    Ok(None)
 }
 
 // ---------------------------------------------------------------------------
@@ -575,31 +667,22 @@ impl Cursor {
 /// Evaluate a predicate for every active lane of a warp; returns the lane
 /// mask of threads where it holds.
 pub fn pred_mask(ctx: &BlockCtx, warp: usize, mask: u32, p: Pred, negate: bool) -> u32 {
-    let mut out = 0u32;
-    for l in 0..WARP {
-        if mask & (1 << l) == 0 {
-            continue;
-        }
-        let t = warp * WARP + l;
-        if t >= ctx.n_threads {
-            continue;
-        }
-        if ctx.pred(t, p) != negate {
-            out |= 1 << l;
-        }
+    let mask = mask & live_lane_mask(ctx.n_threads, warp);
+    if mask == 0 {
+        return 0;
     }
-    out
+    let bits = ctx.preds[p.0 as usize * ctx.n_warps + warp];
+    (if negate { !bits } else { bits }) & mask
 }
 
 /// Mask of lanes of `warp` that map to real threads of the block.
 pub fn live_lane_mask(n_threads: usize, warp: usize) -> u32 {
-    let mut m = 0u32;
-    for l in 0..WARP {
-        if warp * WARP + l < n_threads {
-            m |= 1 << l;
-        }
+    let live = n_threads.saturating_sub(warp.saturating_mul(WARP));
+    if live >= WARP {
+        u32::MAX
+    } else {
+        (1u32 << live) - 1
     }
-    m
 }
 
 #[cfg(test)]
@@ -630,6 +713,7 @@ mod tests {
 
     #[test]
     fn alu_semantics_float_and_int() {
+        let alu = |op, x: u32, y: u32| alu_lanes(op, &[x; WARP], &[y; WARP])[0];
         assert_eq!(
             f32::from_bits(alu(AluOp::FAdd, 1.5f32.to_bits(), 2.5f32.to_bits())),
             4.0
@@ -830,5 +914,23 @@ mod tests {
         assert_eq!(live_lane_mask(32, 0), u32::MAX);
         assert_eq!(live_lane_mask(40, 1), 0xFF);
         assert_eq!(live_lane_mask(40, 2), 0);
+        assert_eq!(live_lane_mask(0, 0), 0);
+        assert_eq!(live_lane_mask(31, 0), u32::MAX >> 1);
+        assert_eq!(live_lane_mask(64, 1), u32::MAX);
+        assert_eq!(live_lane_mask(40, usize::MAX), 0);
+    }
+
+    #[test]
+    fn registers_are_reg_major_lane_slices() {
+        let mut b = KernelBuilder::new("layout");
+        let p = b.param();
+        let _ = b.iadd(p.into(), Operand::ImmU(1));
+        let prog = lower(&b.finish());
+        // 40 threads: two warps, the second one partial.
+        let mut ctx = BlockCtx::new(&prog, 0, 40, &[9]).unwrap();
+        assert_eq!(ctx.regs.len(), prog.n_regs as usize * 2 * WARP);
+        ctx.set_reg(33, Reg(1), 5);
+        assert_eq!(ctx.regs[(2 + 1) * WARP + 1], 5);
+        assert_eq!(ctx.lanes(1, Reg(0)), &[9; WARP]);
     }
 }

@@ -18,8 +18,9 @@
 //!   legitimate store path. A soft error (a bit flip injected through
 //!   [`GlobalMemory::corrupt_bit`], the model of a cosmic-ray strike on
 //!   non-ECC GDDR) perturbs the data *without* updating the checksum, so
-//!   host readback ([`GlobalMemory::download`]) and whole-memory scans
-//!   ([`GlobalMemory::verify_all`]) surface the corruption as a typed
+//!   every word load ([`GlobalMemory::load_u32`], which kernel loads go
+//!   through), host readback ([`GlobalMemory::download`]) and whole-memory
+//!   scans ([`GlobalMemory::verify_all`]) surface the corruption as a typed
 //!   [`FaultKind::EccMismatch`] at the exact word instead of silently wrong
 //!   physics.
 
@@ -324,14 +325,25 @@ impl GlobalMemory {
         Ok(())
     }
 
-    /// Load a 32-bit word as raw bits.
+    /// Load a 32-bit word as raw bits. The word's ECC checksum is verified
+    /// on every load, so a soft error surfaces as
+    /// [`FaultKind::EccMismatch`] at the first read of the struck word —
+    /// before a load-modify-store could rewrite the checksum over it.
     #[inline]
     pub fn load_u32(&self, addr: u64) -> DeviceResult<u32> {
         self.check(addr, 4, true)?;
         let a = addr as usize;
-        Ok(u32::from_le_bytes(
-            self.data[a..a + 4].try_into().expect("4-byte slice"),
-        ))
+        let word: [u8; 4] = self.data[a..a + 4].try_into().expect("4-byte slice");
+        // A 4-byte-aligned load covers exactly one ECC word.
+        let (expected, actual) = (self.ecc[a / 4], ecc_of(&word));
+        if actual != expected {
+            return Err(DeviceError::new(FaultKind::EccMismatch {
+                addr,
+                expected,
+                actual,
+            }));
+        }
+        Ok(u32::from_le_bytes(word))
     }
 
     /// Store a 32-bit word as raw bits.
@@ -978,6 +990,24 @@ mod tests {
             assert!(m.corrupt_bit(p.0 + (bit / 8) as u64, bit % 8));
             assert!(m.verify_all().is_err(), "bit {bit} flip went undetected");
         }
+    }
+
+    #[test]
+    fn word_loads_verify_ecc() {
+        let mut m = GlobalMemory::new(1024);
+        let p = m.alloc_zeroed(16).unwrap();
+        m.store_u32(p.0 + 4, 7).unwrap();
+        assert!(m.corrupt_bit(p.0 + 6, 1));
+        let e = m.load_u32(p.0 + 4).unwrap_err();
+        assert!(
+            matches!(e.kind, FaultKind::EccMismatch { addr, .. } if addr == p.0 + 4),
+            "{:?}",
+            e.kind
+        );
+        assert_eq!(m.load_u32(p.0).unwrap(), 0, "neighbours load clean");
+        // A block shard reading through to the base inherits the check.
+        let shard = BlockShard::new(&m);
+        assert!(DeviceMem::load_u32(&shard, p.0 + 4).is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! * **bit flips** — a radiation-induced single-bit upset in device memory
 //!   ([`GlobalMemory::corrupt_bit`]), detected by the memory's ECC-style
-//!   checksums on readback as [`FaultKind::EccMismatch`];
+//!   checksums on the next load or readback as [`FaultKind::EccMismatch`];
 //! * **transient launch failures** — the spurious
 //!   `CUDA_ERROR_LAUNCH_FAILED` every long-lived CUDA service learns to
 //!   retry, surfaced as [`FaultKind::TransientLaunch`];
@@ -174,11 +174,13 @@ pub const HANG_BUDGET: u64 = 1;
 ///   killed mid-flight by the watchdog ([`FaultKind::WatchdogTimeout`]),
 ///   leaving partial side effects in `gmem` exactly as a real kill would;
 /// * `BitFlip` → a bit of the live memory is flipped, then the kernel runs
-///   normally; after the run (and on every later download) the memory's ECC
-///   checksums are verified, surfacing the strike as
-///   [`FaultKind::EccMismatch`] unless a legitimate full overwrite healed
-///   the word first (in which case the results are unaffected by
-///   construction);
+///   normally. Where the strike surfaces as [`FaultKind::EccMismatch`]
+///   depends on what the kernel does with the struck word: a load of it
+///   fails at once, attributed to the loading lane's block, thread and
+///   instruction (so a load-add-store accumulator cannot launder it); a
+///   word the kernel never loads is caught by the post-launch scrub and by
+///   every later download; a legitimate full overwrite before any load
+///   heals the word (the results are then unaffected by construction);
 /// * `None` → a healthy, watchdog-supervised run.
 ///
 /// On any error the caller owns recovery: discard `gmem`, re-upload from
@@ -200,6 +202,10 @@ pub fn run_grid_chaos(
 /// [`run_grid_chaos`] over an already-lowered [`Program`]. Lets callers that
 /// launch the same kernel many times (gravit's frame loop, the chaos
 /// harness) pay the decode cost once.
+///
+/// A bit flip surfaces where [`run_grid_chaos`] says: at the first kernel
+/// load of the struck word (load-time coordinates), else at the
+/// post-launch scrub (kernel name only).
 pub fn run_grid_chaos_lowered(
     prog: &Program,
     grid: u32,

@@ -141,8 +141,8 @@ fn bit_flips_never_produce_silently_wrong_results() {
 
 #[test]
 fn ecc_detection_reports_the_struck_word() {
-    // Deterministically corrupt a known input word (bypassing the plan) and
-    // let the chaos wrapper's post-run scrub catch it.
+    // Deterministically corrupt a known input word (bypassing the plan): the
+    // kernel's load of it fails, attributed to the loading thread.
     let k = copy_kernel();
     let (mut gmem, d, out) = setup(32);
     assert!(gmem.corrupt_bit(d as u64 + 5 * 4, 2));
@@ -162,6 +162,28 @@ fn ecc_detection_reports_the_struck_word() {
     }
     assert!(e.kind.is_transient());
     assert_eq!(e.site.kernel.as_deref(), Some("chaos_copy"));
+    assert_eq!(e.site.block, Some(0));
+    assert_eq!(e.site.thread, Some(5));
+    // tid, address, load: the load is the warp's third instruction.
+    assert_eq!(e.site.instruction, Some(2));
+}
+
+#[test]
+fn a_strike_no_kernel_load_reads_is_caught_by_the_scrub() {
+    let k = copy_kernel();
+    let (mut gmem, d, out) = setup(32);
+    let unused = gmem.alloc_zeroed(16).expect("fits");
+    assert!(gmem.corrupt_bit(unused.0 + 4, 0));
+    let mut plan = TransientFaultPlan::quiet();
+    let e = run_grid_chaos(&k, 1, 32, &[d, out], &mut gmem, &mut plan, None)
+        .expect_err("the scrub must catch the strike");
+    assert!(
+        matches!(e.kind, FaultKind::EccMismatch { addr, .. } if addr == unused.0 + 4),
+        "{:?}",
+        e.kind
+    );
+    assert_eq!(e.site.kernel.as_deref(), Some("chaos_copy"));
+    assert_eq!(e.site.thread, None, "a scrub fault has no thread");
 }
 
 #[test]

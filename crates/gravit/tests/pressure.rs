@@ -5,18 +5,23 @@
 //! transient-fault chaos machinery — all with full fault attribution and
 //! zero sanitizer violations.
 
+use gpu_kernels::chunk::{build_chunk_force_kernel, chunk_force_params};
 use gpu_kernels::force::OptLevel;
 use gpu_sim::fault::FaultKind;
-use gpu_sim::transient::{FaultRates, TransientFaultPlan};
+use gpu_sim::ir::lower::lower;
+use gpu_sim::mem::GlobalMemory;
+use gpu_sim::transient::{run_grid_chaos_lowered, FaultRates, TransientFaultPlan};
 use gpu_sim::DriverModel;
 use gravit_app::backend::{frame_memory_budget, Backend, FaultPolicy};
 use gravit_app::config::{SimConfig, SpawnKind};
-use gravit_app::pressure::{chunked_memory_budget, plan_frame, ExecMode};
+use gravit_app::pressure::{chunked_memory_budget, gpu_frame_chunked, plan_frame, ExecMode};
 use gravit_app::recovery::RecoveryPolicy;
 use gravit_app::sim::Simulation;
 use gravit_app::Integrator;
 use nbody::model::ForceParams;
 use nbody::spawn;
+use particle_layouts::device::alloc_accel_out;
+use particle_layouts::{DeviceImage, Particle};
 use proptest::prelude::*;
 
 fn gpu(level: OptLevel) -> Backend {
@@ -318,4 +323,98 @@ proptest! {
         // Reports appear exactly when the plan degraded.
         prop_assert_eq!(res.fault.is_some(), plan.mode != ExecMode::Full);
     }
+}
+
+/// A soft error in the chunk kernel's device-resident accumulator between
+/// two source-chunk launches surfaces as an ECC fault when the next launch
+/// loads the struck word, attributed to the thread that owns it. The
+/// kernel's load-add-store update must not rewrite the checksum over the
+/// flipped bit and complete with wrong physics.
+#[test]
+fn accumulator_strike_between_chunk_launches_is_an_ecc_fault() {
+    let cfg = OptLevel::Full.config();
+    let chunk = cfg.block as usize;
+    let fp = ForceParams::default();
+    let bodies = spawn::uniform_ball(2 * chunk, 5.0, 2.0, 17);
+    let particles: Vec<Particle> = (0..bodies.len())
+        .map(|i| Particle {
+            pos: bodies.pos[i],
+            vel: bodies.vel[i],
+            mass: fp.g * bodies.mass[i],
+        })
+        .collect();
+    let prog = lower(&build_chunk_force_kernel(cfg));
+    let mut gmem = GlobalMemory::new(1 << 16);
+    let tgt = DeviceImage::upload(&mut gmem, cfg.layout, &particles[..chunk], cfg.block).unwrap();
+    let out = alloc_accel_out(&mut gmem, tgt.padded_n).unwrap();
+    let mut quiet = TransientFaultPlan::quiet();
+    let mut launch = |gmem: &mut GlobalMemory, s: usize| {
+        let src =
+            DeviceImage::upload(gmem, cfg.layout, &particles[s..s + chunk], cfg.block).unwrap();
+        let params = chunk_force_params(&tgt, &src, out, fp.softening);
+        let grid = tgt.padded_n / cfg.block;
+        run_grid_chaos_lowered(&prog, grid, cfg.block, &params, gmem, &mut quiet, None)
+    };
+    launch(&mut gmem, 0).expect("first source chunk runs clean");
+    // Strike the x accumulator of target body 5.
+    let struck = out.0 + 16 * 5;
+    assert!(gmem.corrupt_bit(struck + 2, 4));
+    let e = launch(&mut gmem, chunk).expect_err("the strike must not be laundered");
+    match e.kind {
+        FaultKind::EccMismatch {
+            addr,
+            expected,
+            actual,
+        } => {
+            assert_eq!(addr, struck);
+            assert_ne!(expected, actual);
+        }
+        other => panic!("expected EccMismatch, got {other:?}"),
+    }
+    assert!(e.kind.is_transient());
+    assert_eq!(e.site.block, Some(0));
+    assert_eq!(e.site.thread, Some(5));
+    assert!(e.site.instruction.is_some(), "load-time site: {}", e.site);
+}
+
+/// Whole chunked frames under seeded bit flips: every frame either fails
+/// with a detected soft error or is bit-identical to the fault-free frame,
+/// whichever buffer (target image, accumulator, source image, redzone) the
+/// strikes land in.
+#[test]
+fn chunked_frames_under_bit_flips_are_never_silently_wrong() {
+    let level = OptLevel::Full;
+    let chunk = level.config().block;
+    let fp = ForceParams::default();
+    let bodies = spawn::uniform_ball(2 * chunk as usize, 5.0, 2.0, 19);
+    let reference = gpu_frame_chunked(&bodies, &fp, level, chunk, None, None, None).unwrap();
+    let (mut clean, mut detected) = (0, 0);
+    for seed in 0..64 {
+        let mut plan = TransientFaultPlan::new(
+            seed,
+            FaultRates {
+                bit_flip: 0.3,
+                launch_failure: 0.0,
+                hang: 0.0,
+            },
+        );
+        match gpu_frame_chunked(&bodies, &fp, level, chunk, None, Some(&mut plan), None) {
+            Ok(accels) => {
+                assert_eq!(accels, reference, "seed {seed}: silently wrong frame");
+                clean += 1;
+            }
+            Err(e) => {
+                assert!(
+                    matches!(e.kind, FaultKind::EccMismatch { .. }),
+                    "seed {seed}: unexpected fault {:?}",
+                    e.kind
+                );
+                detected += 1;
+            }
+        }
+    }
+    assert!(
+        clean > 0 && detected > 0,
+        "clean {clean}, detected {detected}"
+    );
 }
