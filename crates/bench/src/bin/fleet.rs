@@ -16,7 +16,8 @@
 //!    final states exactly (campaign 0 is run twice and compared).
 //!
 //! **Throughput** rows drive a quiet batch through pool sizes {1, 2, 4} and
-//! record jobs/sec into `BENCH_fleet.json`. The event log and final states
+//! record jobs/sec, written (in the shape of `BENCH_fleet.json`) only to the
+//! path `--json PATH` names. The event log and final states
 //! are checksummed (FNV-1a): with `--check-against PATH` any checksum or
 //! tick-count drift against the committed baseline fails hard (scheduling is
 //! host-independent), while wall time gets a 1.2× + 50 ms envelope.
@@ -26,6 +27,7 @@
 //!         [--skip-perf] [--skip-soak]`. Any violation exits nonzero.
 
 use bench::cli::Args;
+use bench::report::write_json;
 use gpu_kernels::force::OptLevel;
 use gpu_sim::transient::FaultRates;
 use gpu_sim::{DevicePool, DeviceSpec, DriverModel};
@@ -396,9 +398,6 @@ fn main() {
         .value("--seed")
         .and_then(|v| v.parse().ok())
         .unwrap_or(42);
-    let json_path = args
-        .value("--json")
-        .unwrap_or_else(|| "BENCH_fleet.json".into());
     let baseline: Option<FleetReport> = args.value("--check-against").map(|p| {
         let text =
             std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("--check-against {p}: {e}"));
@@ -476,17 +475,14 @@ fn main() {
             );
         }
 
-        let report = FleetReport {
-            bench: "fleet".into(),
-            host_cores,
-            rows,
-        };
-        std::fs::write(
-            &json_path,
-            serde_json::to_string_pretty(&report).expect("serialize"),
-        )
-        .expect("write BENCH_fleet.json");
-        println!("wrote {json_path}");
+        write_json(
+            args.value("--json").as_deref(),
+            &FleetReport {
+                bench: "fleet".into(),
+                host_cores,
+                rows,
+            },
+        );
     }
 
     if violations.0 > 0 {

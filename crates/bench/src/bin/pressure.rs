@@ -5,16 +5,18 @@
 //! perf baseline the ROADMAP asked for — and asserts the modes stay
 //! bit-identical while doing so.
 //!
-//! Emits `BENCH_pressure.json`:
+//! With `--json PATH`, writes the report (the shape of the committed
+//! `BENCH_pressure.json`) to `PATH`; without it nothing is written:
 //!
 //! ```json
 //! { "n": 960, "level": "SoAoaS+unroll+licm", "full": { ... },
 //!   "chunked": [ { "chunk": 512, "overhead_x": ..., ... }, ... ] }
 //! ```
 //!
-//! Usage: `pressure [--n BODIES] [--reps R] [--out PATH]`.
+//! Usage: `pressure [--n BODIES] [--reps R] [--json PATH]`.
 
 use bench::cli::Args;
+use bench::report::write_json;
 use std::time::Instant;
 
 use gpu_kernels::force::OptLevel;
@@ -25,7 +27,7 @@ use nbody::model::ForceParams;
 use nbody::spawn;
 use serde::Serialize;
 
-const USAGE: &str = "usage: pressure [--n BODIES] [--reps R] [--out PATH]";
+const USAGE: &str = "usage: pressure [--n BODIES] [--reps R] [--json PATH]";
 
 #[derive(Serialize)]
 struct FullRow {
@@ -71,7 +73,7 @@ fn time_best<T>(reps: u32, mut f: impl FnMut() -> T) -> (f64, T) {
 }
 
 fn main() {
-    let args = Args::from_env_or_exit(USAGE, &["--n", "--reps", "--out"], &[]);
+    let args = Args::from_env_or_exit(USAGE, &["--n", "--reps", "--json"], &[]);
     let n: u32 = args
         .value("--n")
         .and_then(|v| v.parse().ok())
@@ -81,9 +83,6 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(3)
         .max(1);
-    let out_path = args
-        .value("--out")
-        .unwrap_or_else(|| "BENCH_pressure.json".into());
 
     let level = OptLevel::Full;
     let block = chunk_floor(level);
@@ -148,26 +147,23 @@ fn main() {
         });
     }
 
-    let report = Report {
-        bench: "pressure".into(),
-        n,
-        level: level.label().into(),
-        block,
-        reps,
-        full: FullRow {
-            wall_s: full_s,
-            launches: 1,
-            device_footprint_bytes: full_budget,
+    write_json(
+        args.value("--json").as_deref(),
+        &Report {
+            bench: "pressure".into(),
+            n,
+            level: level.label().into(),
+            block,
+            reps,
+            full: FullRow {
+                wall_s: full_s,
+                launches: 1,
+                device_footprint_bytes: full_budget,
+            },
+            chunked: rows,
+            all_bit_identical: all_identical,
         },
-        chunked: rows,
-        all_bit_identical: all_identical,
-    };
-    std::fs::write(
-        &out_path,
-        serde_json::to_string_pretty(&report).expect("serialize"),
-    )
-    .expect("write BENCH_pressure.json");
-    println!("wrote {out_path}");
+    );
 
     if !all_identical {
         eprintln!("VIOLATION: chunked execution diverged from the unconstrained frame");

@@ -20,8 +20,9 @@
 //! checksum differs from the sequential run of the same workload is a
 //! determinism bug and fails the binary immediately.
 //!
-//! Emits `BENCH_sim.json`. With `--check-against PATH`, the committed
-//! baseline is loaded first and the run fails on (a) any checksum or
+//! With `--json PATH` the report (the shape of `BENCH_sim.json`) is written
+//! to `PATH`; without it nothing is written. With `--check-against PATH`,
+//! the committed baseline is loaded and the run fails on (a) any checksum or
 //! instruction-count drift — bit-identity is host-independent — or (b) a
 //! wall-time regression beyond 1.2× + 50 ms slack.
 //!
@@ -29,6 +30,7 @@
 //!         [--check-against PATH]`.
 
 use bench::cli::Args;
+use bench::report::write_json;
 use gpu_kernels::force::{build_force_kernel, force_params, OptLevel};
 use gpu_kernels::membench::{build_membench_kernel, MembenchConfig};
 use gpu_sim::exec::functional::run_lowered_full;
@@ -230,9 +232,6 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(3)
         .max(1);
-    let json_path = args
-        .value("--json")
-        .unwrap_or_else(|| "BENCH_sim.json".into());
     let baseline: Option<SimReport> = args.value("--check-against").map(|p| {
         let text =
             std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("--check-against {p}: {e}"));
@@ -352,17 +351,14 @@ fn main() {
         );
     }
 
-    let report = SimReport {
-        bench: "sim".into(),
-        host_cores,
-        rows,
-    };
-    std::fs::write(
-        &json_path,
-        serde_json::to_string_pretty(&report).expect("serialize"),
-    )
-    .expect("write BENCH_sim.json");
-    println!("wrote {json_path}");
+    write_json(
+        args.value("--json").as_deref(),
+        &SimReport {
+            bench: "sim".into(),
+            host_cores,
+            rows,
+        },
+    );
 
     if determinism_failures > 0 {
         println!("[FAIL] {determinism_failures} parallel runs were not bit-identical");

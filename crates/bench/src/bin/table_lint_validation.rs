@@ -7,17 +7,18 @@
 //! traversal the analyzer cannot be exact, so its `[best, worst]`
 //! transaction interval must *enclose* the dynamic measurement instead.
 //!
-//! Also emits `BENCH_analyze.json` — analyzer + synthesizer wall time per
-//! kernel × driver across all families, so analysis-cost regressions show
-//! up in review. With `--check-against PATH`, the committed baseline is
-//! loaded *before* the new report overwrites it and any kernel whose wall
-//! time regressed more than 2x (plus a small absolute slack for sub-ms
-//! rows) fails the run — the CI `verify-kernels` job gates on this.
+//! Also times the analyzer + synthesizer per kernel × driver across all
+//! families, so analysis-cost regressions show up in review; `--json PATH`
+//! writes those timings (in the shape of `BENCH_analyze.json`) to `PATH`,
+//! and without it no report is written. With `--check-against PATH`, any
+//! kernel whose wall time regressed more than 2x over that baseline (plus a
+//! small absolute slack for sub-ms rows) fails the run — the CI
+//! `verify-kernels` job gates on this.
 //!
 //! Usage: `table_lint_validation [--bh-n BODIES] [--json PATH]
 //!         [--check-against PATH]`.
 use bench::cli::Args;
-use bench::report::emit;
+use bench::report::{emit, write_json};
 use bench::tables::{bh_bounds_validation, lint_cross_validation};
 use gpu_kernels::synthset::synth_targets;
 use gpu_sim::DriverModel;
@@ -78,10 +79,7 @@ fn main() {
         .value("--bh-n")
         .and_then(|v| v.parse().ok())
         .unwrap_or(192);
-    let json_path = args
-        .value("--json")
-        .unwrap_or_else(|| "BENCH_analyze.json".into());
-    // Load the committed baseline (if requested) before it is overwritten.
+    // Load the baseline first: `--json` may name the same file.
     let baseline: Option<AnalyzeReport> = args.value("--check-against").map(|p| {
         let text =
             std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("--check-against {p}: {e}"));
@@ -189,17 +187,14 @@ fn main() {
         );
     }
 
-    let report = AnalyzeReport {
-        bench: "analyze".into(),
-        bh_n,
-        kernels: times,
-    };
-    std::fs::write(
-        &json_path,
-        serde_json::to_string_pretty(&report).expect("serialize"),
-    )
-    .expect("write BENCH_analyze.json");
-    println!("wrote {json_path}");
+    write_json(
+        args.value("--json").as_deref(),
+        &AnalyzeReport {
+            bench: "analyze".into(),
+            bh_n,
+            kernels: times,
+        },
+    );
 
     if regressions > 0 {
         println!("[FAIL] {regressions} analyze/synth wall-time regressions > 2x over baseline");

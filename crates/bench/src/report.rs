@@ -1,5 +1,7 @@
-//! Result output: markdown to stdout, CSV into `results/`.
+//! Result output: markdown to stdout, CSV into `results/`, and JSON
+//! reports where `--json PATH` names them.
 
+use serde::Serialize;
 use simcore::Table;
 use std::path::PathBuf;
 
@@ -16,6 +18,17 @@ pub fn results_dir() -> PathBuf {
         cwd.join("results")
     } else {
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
+    }
+}
+
+/// Write `report` as pretty JSON to `path`, when one is given. A bench
+/// binary has no default report path, so a gate run never rewrites the
+/// committed baseline it checks against.
+pub fn write_json<T: Serialize>(path: Option<&str>, report: &T) {
+    if let Some(path) = path {
+        let text = serde_json::to_string_pretty(report).expect("serialize");
+        std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        println!("wrote {path}");
     }
 }
 

@@ -26,12 +26,11 @@
 
 use crate::pressure::{downgrade, gpu_frame_chunked, plan_frame, DegradeEvent, ExecMode};
 use crate::recovery::{RecoveryPolicy, RetryEvent};
-use gpu_kernels::force::{build_force_kernel, force_params, OptLevel};
+use gpu_kernels::force::{force_params, OptLevel};
 use gpu_sim::exec::functional::{
     run_grid_injected_lowered, run_grid_lowered, run_grid_watchdog_lowered,
 };
 use gpu_sim::fault::{DeviceError, DeviceResult, FaultKind, FaultPlan};
-use gpu_sim::ir::lower::lower;
 use gpu_sim::mem::GlobalMemory;
 use gpu_sim::transient::{run_grid_chaos_lowered, TransientFaultPlan};
 use gpu_sim::DriverModel;
@@ -186,23 +185,9 @@ impl Backend {
             Backend::BarnesHut { theta } => accelerations_bh(bodies, fp, *theta),
             Backend::GpuSim { level, .. } => match gpu_accelerations(bodies, fp, *level, plan) {
                 Ok(a) => a,
-                Err(error) => match policy {
-                    FaultPolicy::FailFast => return Err(error),
-                    FaultPolicy::FallbackToCpu => {
-                        let fallback = Backend::CpuParallel;
-                        let accels = accelerations_par(bodies, fp);
-                        return Ok(ForceResult {
-                            accels,
-                            fault: Some(FaultReport {
-                                error,
-                                degraded_from: self.label(),
-                                degraded_to: fallback.label(),
-                                retries: Vec::new(),
-                                ladder: Vec::new(),
-                            }),
-                        });
-                    }
-                },
+                Err(error) => {
+                    return self.give_up(policy, bodies, fp, error, Vec::new(), Vec::new())
+                }
             },
         };
         Ok(ForceResult {
@@ -262,21 +247,7 @@ impl Backend {
             // under FailFast, or the CPU takes the frame with full history.
             if mode == ExecMode::Cpu {
                 let error = first_error.expect("the CPU rung is only reached by a downgrade");
-                match policy {
-                    FaultPolicy::FailFast => return Err(error),
-                    FaultPolicy::FallbackToCpu => {
-                        return Ok(ForceResult {
-                            accels: accelerations_par(bodies, fp),
-                            fault: Some(FaultReport {
-                                error,
-                                degraded_from: self.label(),
-                                degraded_to: Backend::CpuParallel.label(),
-                                retries,
-                                ladder,
-                            }),
-                        });
-                    }
-                }
+                return self.give_up(policy, bodies, fp, error, retries, ladder);
             }
             let attempt = retries.len() as u32;
             let r = match mode {
@@ -346,23 +317,36 @@ impl Backend {
                     // error of the frame (the root cause) and keeps the full
                     // retry history.
                     let error = first_error.unwrap_or(error);
-                    match policy {
-                        FaultPolicy::FailFast => return Err(error),
-                        FaultPolicy::FallbackToCpu => {
-                            return Ok(ForceResult {
-                                accels: accelerations_par(bodies, fp),
-                                fault: Some(FaultReport {
-                                    error,
-                                    degraded_from: self.label(),
-                                    degraded_to: Backend::CpuParallel.label(),
-                                    retries,
-                                    ladder,
-                                }),
-                            });
-                        }
-                    }
+                    return self.give_up(policy, bodies, fp, error, retries, ladder);
                 }
             }
+        }
+    }
+
+    /// End a frame the device gave up on: `policy` either propagates `error`
+    /// or recomputes the frame on the parallel CPU backend, reporting the
+    /// fault with its retry and ladder history.
+    fn give_up(
+        &self,
+        policy: FaultPolicy,
+        bodies: &Bodies,
+        fp: &ForceParams,
+        error: DeviceError,
+        retries: Vec<RetryEvent>,
+        ladder: Vec<DegradeEvent>,
+    ) -> DeviceResult<ForceResult> {
+        match policy {
+            FaultPolicy::FailFast => Err(error),
+            FaultPolicy::FallbackToCpu => Ok(ForceResult {
+                accels: accelerations_par(bodies, fp),
+                fault: Some(FaultReport {
+                    error,
+                    degraded_from: self.label(),
+                    degraded_to: Backend::CpuParallel.label(),
+                    retries,
+                    ladder,
+                }),
+            }),
         }
     }
 
@@ -443,10 +427,8 @@ fn gpu_frame(
         return Ok(Vec::new());
     }
     let cfg = level.config();
-    let kernel = build_force_kernel(cfg);
-    // Decode once: the structured kernel is lowered to its flat pre-resolved
-    // form a single time per frame, not once per launch-variant dispatch.
-    let prog = lower(&kernel);
+    // Built and lowered once per process, shared by every frame and retry.
+    let prog = level.force_program();
     let particles: Vec<Particle> = (0..bodies.len())
         .map(|i| Particle {
             pos: bodies.pos[i],
@@ -469,16 +451,14 @@ fn gpu_frame(
     let params = force_params(&img, out, fp.softening);
     let grid = img.padded_n / cfg.block;
     match (chaos, plan, watchdog) {
-        (Some(c), _, w) => {
-            run_grid_chaos_lowered(&prog, grid, cfg.block, &params, &mut gmem, c, w)?
-        }
+        (Some(c), _, w) => run_grid_chaos_lowered(prog, grid, cfg.block, &params, &mut gmem, c, w)?,
         (None, Some(p), _) => {
-            run_grid_injected_lowered(&prog, grid, cfg.block, &params, &mut gmem, p)?
+            run_grid_injected_lowered(prog, grid, cfg.block, &params, &mut gmem, p)?
         }
         (None, None, Some(w)) => {
-            run_grid_watchdog_lowered(&prog, grid, cfg.block, &params, &mut gmem, w)?
+            run_grid_watchdog_lowered(prog, grid, cfg.block, &params, &mut gmem, w)?
         }
-        (None, None, None) => run_grid_lowered(&prog, grid, cfg.block, &params, &mut gmem)?,
+        (None, None, None) => run_grid_lowered(prog, grid, cfg.block, &params, &mut gmem)?,
     };
     let accels = download_accels(&gmem, out, img.n)?;
     // A non-finite acceleration is corrupted physics, not a value to
@@ -488,7 +468,7 @@ fn gpu_frame(
         if !(a.x.is_finite() && a.y.is_finite() && a.z.is_finite()) {
             return Err(
                 DeviceError::new(FaultKind::NonFiniteResult { index: i as u64 })
-                    .with_kernel(&kernel.name),
+                    .with_kernel(&prog.name),
             );
         }
     }
@@ -508,15 +488,16 @@ pub fn run_device_resident(
     steps: u32,
     level: OptLevel,
 ) -> DeviceResult<Bodies> {
-    use gpu_kernels::integrate::{build_integrate_kernel, integrate_params};
+    use gpu_kernels::integrate::integrate_params;
+    use gpu_kernels::program::integrate_program;
     if bodies.is_empty() {
         return Ok(Bodies::default());
     }
     let cfg = level.config();
-    // Decode once, launch `steps` times: both kernels are lowered before the
-    // step loop so per-launch cost is execution alone.
-    let force_p = lower(&build_force_kernel(cfg));
-    let integ_p = lower(&build_integrate_kernel(cfg.layout));
+    // Both kernels come lowered from the process-wide cache, so per-launch
+    // cost is execution alone.
+    let force_p = level.force_program();
+    let integ_p = integrate_program(cfg.layout);
     let particles: Vec<Particle> = (0..bodies.len())
         .map(|i| Particle {
             pos: bodies.pos[i],
@@ -537,8 +518,8 @@ pub fn run_device_resident(
     let fparams = force_params(&img, acc, fp.softening);
     let iparams = integrate_params(&img, acc, dt);
     for _ in 0..steps {
-        run_grid_lowered(&force_p, grid, cfg.block, &fparams, &mut gmem)?;
-        run_grid_lowered(&integ_p, grid, cfg.block, &iparams, &mut gmem)?;
+        run_grid_lowered(force_p, grid, cfg.block, &fparams, &mut gmem)?;
+        run_grid_lowered(integ_p, grid, cfg.block, &iparams, &mut gmem)?;
     }
     let out = img.read_all(&gmem)?;
     let mut result = Bodies::with_capacity(bodies.len());

@@ -718,9 +718,10 @@ impl Fleet {
 /// Run one slice of `slice` steps on a worker thread, containing panics: a
 /// panicking worker returns the job rebuilt from its pre-slice checkpoint
 /// and the device's pre-slice fault plan, so nothing partial ever escapes
-/// into the pool.
+/// into the pool. The checkpoint is encoded only on that path: a slice that
+/// completes drops it unencoded.
 fn run_slice(mut rj: RunningJob, pre_plan: TransientFaultPlan, slice: u64) -> SliceRun {
-    let pre = rj.sim.checkpoint().to_bytes();
+    let pre = rj.sim.checkpoint();
     let spec = rj.spec.clone();
     let devices = rj.devices.clone();
     let migrations = rj.migrations;
@@ -747,7 +748,7 @@ fn run_slice(mut rj: RunningJob, pre_plan: TransientFaultPlan, slice: u64) -> Sl
             SliceRun::Broken {
                 pending: Box::new(PendingJob {
                     spec,
-                    frozen: Some(pre),
+                    frozen: Some(pre.to_bytes()),
                     devices,
                     migrations,
                     reports_seen,
@@ -806,5 +807,74 @@ pub fn drive(
             ));
         }
         fleet.tick();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::Backend;
+    use crate::config::{Integrator, SimConfig};
+    use gpu_kernels::force::OptLevel;
+    use gpu_sim::transient::FaultRates;
+    use gpu_sim::DriverModel;
+
+    /// A worker panic must hand back the job exactly as it stood before the
+    /// slice: the frozen bytes decode to the pre-slice checkpoint and the
+    /// device keeps its pre-slice fault plan.
+    #[test]
+    fn a_panicking_slice_restores_the_pre_slice_job_and_plan() {
+        let config = SimConfig {
+            n: 32,
+            integrator: Integrator::Euler,
+            backend: Backend::GpuSim {
+                level: OptLevel::Full,
+                driver: DriverModel::Cuda10,
+            },
+            ..SimConfig::default()
+        };
+        let spec = JobSpec {
+            id: 7,
+            tenant: "t".into(),
+            config: config.clone(),
+            steps: 6,
+        };
+        let mut sim = Simulation::new(config).expect("valid config");
+        let rates = FaultRates {
+            bit_flip: 0.0,
+            launch_failure: 0.5,
+            hang: 0.0,
+        };
+        let plan = TransientFaultPlan::new(11, rates);
+        sim.set_transient_faults(plan.clone());
+        sim.step().expect("a healthy step under FallbackToCpu");
+        // Accelerations that no longer match the bodies make the next step
+        // fail its integrator's length assertion: a panicking worker.
+        sim.accels.truncate(1);
+        let pre = sim.checkpoint();
+        let rj = RunningJob {
+            spec: spec.clone(),
+            sim,
+            devices: vec![1, 0],
+            migrations: 1,
+            reports_seen: 0,
+        };
+        match run_slice(rj, plan.clone(), 3) {
+            SliceRun::Broken {
+                pending,
+                plan: back,
+                what,
+            } => {
+                let frozen = pending.frozen.as_deref().expect("a frozen checkpoint");
+                assert_eq!(frozen, pre.to_bytes().as_slice());
+                assert_eq!(Checkpoint::from_bytes(frozen).expect("decodes"), pre);
+                assert_eq!(back, plan);
+                assert_eq!(pending.spec, spec);
+                assert_eq!(pending.devices, vec![1, 0]);
+                assert_eq!(pending.migrations, 1);
+                assert!(what.contains("assertion"), "{what}");
+            }
+            SliceRun::Done(_) => panic!("the slice should have panicked"),
+        }
     }
 }

@@ -24,11 +24,10 @@
 //! net should a launch OOM anyway.
 
 use crate::backend::frame_memory_budget;
-use gpu_kernels::chunk::{build_chunk_force_kernel, chunk_force_params};
+use gpu_kernels::chunk::chunk_force_params;
 use gpu_kernels::force::OptLevel;
 use gpu_sim::exec::functional::{run_grid_lowered, run_grid_watchdog_lowered};
 use gpu_sim::fault::{DeviceError, DeviceResult, FaultKind};
-use gpu_sim::ir::lower::lower;
 use gpu_sim::mem::{GlobalMemory, MemoryBudget};
 use gpu_sim::transient::{run_grid_chaos_lowered, TransientFaultPlan};
 use nbody::model::{Bodies, ForceParams};
@@ -280,9 +279,9 @@ pub fn gpu_frame_chunked(
         chunk >= cfg.block && chunk.is_multiple_of(cfg.block),
         "chunk must be block-aligned"
     );
-    let kernel = build_chunk_force_kernel(cfg);
-    // Decode once for the whole target × source launch matrix.
-    let prog = lower(&kernel);
+    // Built and lowered once per process, shared by every launch of the
+    // target × source matrix and by every later frame and retry.
+    let prog = level.chunk_program();
     let particles: Vec<Particle> = (0..bodies.len())
         .map(|i| Particle {
             pos: bodies.pos[i],
@@ -309,12 +308,12 @@ pub fn gpu_frame_chunked(
             let params = chunk_force_params(&tgt, &src, out, fp.softening);
             match (chaos.as_deref_mut(), watchdog) {
                 (Some(c), w) => {
-                    run_grid_chaos_lowered(&prog, grid, cfg.block, &params, &mut gmem, c, w)?
+                    run_grid_chaos_lowered(prog, grid, cfg.block, &params, &mut gmem, c, w)?
                 }
                 (None, Some(w)) => {
-                    run_grid_watchdog_lowered(&prog, grid, cfg.block, &params, &mut gmem, w)?
+                    run_grid_watchdog_lowered(prog, grid, cfg.block, &params, &mut gmem, w)?
                 }
-                (None, None) => run_grid_lowered(&prog, grid, cfg.block, &params, &mut gmem)?,
+                (None, None) => run_grid_lowered(prog, grid, cfg.block, &params, &mut gmem)?,
             };
             src.free(&mut gmem)?;
             s = s_hi;
@@ -331,7 +330,7 @@ pub fn gpu_frame_chunked(
         if !(a.x.is_finite() && a.y.is_finite() && a.z.is_finite()) {
             return Err(
                 DeviceError::new(FaultKind::NonFiniteResult { index: i as u64 })
-                    .with_kernel(&kernel.name),
+                    .with_kernel(&prog.name),
             );
         }
     }

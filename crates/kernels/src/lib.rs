@@ -22,6 +22,9 @@
 //!   tuning are applied via the `gpu_sim::ir::passes` pipeline, giving the
 //!   paper's optimization ladder (Sec. IV + Fig. 12).
 //!
+//! The frame paths take the lowered force, chunk-force and integration
+//! kernels from [`program`], which builds and lowers each once per process.
+//!
 //! The force kernel is *functionally validated* against the `nbody` CPU
 //! solver — bit-for-bit, because both sides use the same operation order
 //! (see `nbody::model::accel_one_exact`).
@@ -35,6 +38,7 @@ pub mod force;
 pub mod integrate;
 pub mod lintset;
 pub mod membench;
+pub mod program;
 pub mod synthset;
 pub mod verifyset;
 
